@@ -5,10 +5,10 @@
 //!
 //! * `fixpoint`   — no data directory: the initial evaluation runs from
 //!   scratch (the price every stateless start pays);
-//! * `v1 restore` — a mem-backed engine materializes the v1 snapshot
-//!   back into its in-memory B-trees (no fixpoint, but O(tuples) index
+//! * `mem restore` — a mem-backed engine materializes the v2 snapshot
+//!   into its in-memory B-trees (no fixpoint, but O(tuples) index
 //!   rebuild);
-//! * `v2 mmap`    — a disk-backed engine maps the v2 run file and serves
+//! * `v2 mmap`    — a disk-backed engine maps the same format and serves
 //!   queries off the paged base runs (no fixpoint, no rebuild);
 //! * `v2 +wal`    — same, plus a 32-batch WAL suffix replayed through
 //!   the incremental path.
@@ -119,12 +119,12 @@ fn main() {
     let wal_batches = 32;
     let initial = inputs(nodes);
 
-    let dir_mem = seed_dir("v1", StorageBackend::Mem, &initial, 0);
+    let dir_mem = seed_dir("mem", StorageBackend::Mem, &initial, 0);
     let dir_disk = seed_dir("v2", StorageBackend::Disk, &initial, 0);
     let dir_wal = seed_dir("v2-wal", StorageBackend::Disk, &initial, wal_batches);
 
     let (t_fix, n_fix) = measure(StorageBackend::Mem, &initial, None, 0);
-    let (t_v1, n_v1) = measure(StorageBackend::Mem, &initial, Some(&dir_mem), 0);
+    let (t_mem, n_mem) = measure(StorageBackend::Mem, &initial, Some(&dir_mem), 0);
     let (t_v2, n_v2) = measure(StorageBackend::Disk, &initial, Some(&dir_disk), 0);
     let (t_wal, n_wal) = measure(
         StorageBackend::Disk,
@@ -132,14 +132,14 @@ fn main() {
         Some(&dir_wal),
         wal_batches as u64,
     );
-    assert_eq!(n_v1, n_fix, "v1 restore must recover the full database");
+    assert_eq!(n_mem, n_fix, "mem restore must recover the full database");
     assert_eq!(n_v2, n_fix, "v2 mmap must recover the full database");
     assert!(n_wal >= n_fix, "wal replay must recover at least the base");
 
     let speedup = |t: Duration| t_fix.as_secs_f64() / t.as_secs_f64();
     let rows: Vec<Vec<String>> = [
         ("fixpoint", t_fix),
-        ("v1 restore", t_v1),
+        ("mem restore", t_mem),
         ("v2 mmap", t_v2),
         ("v2 +wal32", t_wal),
     ]

@@ -66,12 +66,10 @@ use crate::itree;
 use crate::morsel::ParallelReport;
 use crate::profile::ProfileReport;
 use crate::prov::{ExplainLimits, ProofNode};
-use crate::snap2;
+use crate::snap2::{self, Snap2, Snap2Relation, SnapshotStats};
 use crate::telemetry::{LogLevel, ServeMetrics, Telemetry};
 use crate::value::Value;
-use crate::wal::{
-    self, CommitTicket, Durability, SnapshotLoad, SnapshotStats, WalStats, WalWriter,
-};
+use crate::wal::{self, CommitTicket, Durability, WalStats, WalWriter};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -79,6 +77,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use stir_der::disk::{self, DiskIndex, RunFile};
+use stir_der::Relation;
 use stir_frontend::SymbolTable;
 use stir_ram::expr::RamDomain;
 use stir_ram::program::{RamProgram, RelId, Role};
@@ -190,6 +189,84 @@ impl Persistence {
     fn snapshot_path(&self) -> PathBuf {
         self.dir.join(SNAPSHOT_FILE)
     }
+}
+
+/// Builds the empty database (program ground facts pre-inserted) for a
+/// resident engine.
+fn build_db(ram: &RamProgram, config: InterpreterConfig, tel: Option<&Telemetry>) -> Database {
+    let mode = if config.legacy_data {
+        DataMode::LegacyDynamic
+    } else {
+        DataMode::Specialized
+    };
+    let _span = tel.map(|t| t.tracer.span("phase:build-db"));
+    Database::new_with_storage(ram, mode, config.provenance, config.storage)
+}
+
+/// Runs the program's main fixpoint over `db`, folding its parallel
+/// statistics into `counters`; returns the profile report.
+fn evaluate(
+    ram: &RamProgram,
+    db: &Database,
+    config: InterpreterConfig,
+    tel: Option<&Telemetry>,
+    counters: &Counters,
+) -> Result<Option<ProfileReport>, EvalError> {
+    let tracer = tel.map(|t| &t.tracer);
+    let tree = {
+        let _span = tracer.map(|t| t.span("phase:build-itree"));
+        itree::build_with_fusions(ram, &config, &[])
+    };
+    let mut interp = Interpreter::new(ram, db, config);
+    if let Some(t) = tel {
+        interp.attach_telemetry(t);
+    }
+    {
+        let _span = tracer.map(|t| t.span("phase:evaluate"));
+        interp.run(&tree)?;
+    }
+    counters.absorb_parallel(interp.parallel_report().as_ref());
+    Ok(interp.profile_report())
+}
+
+/// Rebases every index of `rel` onto the matching persisted run of
+/// `srel`, emptying the indexes' overlays. Each index must be a
+/// [`DiskIndex`] in the run's order — the program fingerprint makes a
+/// mismatch a corruption, not a version skew.
+fn rebase_relation(
+    rel: &mut Relation,
+    snap: &Snap2,
+    srel: &Snap2Relation,
+) -> Result<(), StorageError> {
+    if rel.index_count() != srel.runs.len() {
+        return Err(StorageError::new(format!(
+            "snapshot relation `{}` has {} runs, the program wants {} indexes",
+            srel.name,
+            srel.runs.len(),
+            rel.index_count()
+        )));
+    }
+    for (k, run) in srel.runs.iter().enumerate() {
+        let idx = rel.index_mut(k);
+        if idx.order().columns() != &run.order[..] {
+            return Err(StorageError::new(format!(
+                "snapshot run {k} of `{}` is ordered {:?}, the index wants {:?}",
+                srel.name,
+                run.order,
+                idx.order().columns()
+            )));
+        }
+        idx.as_any_mut()
+            .downcast_mut::<DiskIndex>()
+            .ok_or_else(|| {
+                StorageError::new(format!(
+                    "snapshot relation `{}` is run-backed but index {k} is not a disk index",
+                    srel.name
+                ))
+            })?
+            .rebase(snap.base_run(srel, k));
+    }
+    Ok(())
 }
 
 /// A point-in-time snapshot of the serving counters.
@@ -343,39 +420,13 @@ impl ResidentEngine {
     ) -> Result<ResidentEngine, EngineError> {
         let ram = engine.into_ram();
         let tracer = tel.map(|t| &t.tracer);
-        let mode = if config.legacy_data {
-            DataMode::LegacyDynamic
-        } else {
-            DataMode::Specialized
-        };
-        let db = {
-            let _span = tracer.map(|t| t.span("phase:build-db"));
-            Database::new_with_storage(&ram, mode, config.provenance, config.storage)
-        };
+        let db = build_db(&ram, config, tel);
         {
             let _span = tracer.map(|t| t.span("phase:load-inputs"));
             db.load_inputs(&ram, inputs)?;
         }
         let counters = Counters::default();
-        let initial_profile = {
-            let tree = {
-                let _span = tracer.map(|t| t.span("phase:build-itree"));
-                itree::build_with_fusions(&ram, &config, &[])
-            };
-            let mut interp = Interpreter::new(&ram, &db, config);
-            if let Some(t) = tel {
-                interp.attach_telemetry(t);
-            }
-            {
-                let _span = tracer.map(|t| t.span("phase:evaluate"));
-                interp.run(&tree)?;
-            }
-            counters.absorb_parallel(interp.parallel_report().as_ref());
-            interp.profile_report()
-        };
-        if let Some(t) = tel {
-            db.sample_metrics(&ram, &t.metrics);
-        }
+        let initial_profile = evaluate(&ram, &db, config, tel, &counters)?;
 
         // Record the external inputs so a later fallback recompute can
         // replay them alongside the program's own ground facts.
@@ -392,57 +443,36 @@ impl ResidentEngine {
                 }
             }
         }
-
-        let mut aux_of = vec![Vec::new(); ram.relations.len()];
-        let mut all_upds = Vec::new();
-        for r in &ram.relations {
-            match r.role {
-                Role::Standard => {}
-                Role::Delta(b) | Role::New(b) => aux_of[b.0].push(r.id),
-                Role::Upd(b) => {
-                    aux_of[b.0].push(r.id);
-                    all_upds.push(r.id);
-                }
-            }
-        }
-
         Ok(ResidentEngine {
-            ram,
-            config,
-            db,
-            extra_facts,
-            aux_of,
-            all_upds,
-            counters,
             initial_profile,
-            persistence: None,
-            serve_metrics: Arc::new(ServeMetrics::off()),
-            health: Arc::new(HealthMonitor::new()),
-            run_file: None,
+            ..Self::assemble(ram, config, db, extra_facts, counters, tel)
         })
     }
 
-    /// Builds a resident engine from a valid snapshot, skipping the
+    /// Builds a resident engine from a validated snapshot, skipping the
     /// initial fixpoint: relations (EDB *and* IDB), symbols, the
     /// auto-increment counter, and the fact replay list all come from
     /// the snapshot.
+    ///
+    /// Each relation is restored one of two ways. Under disk storage
+    /// with provenance off, its disk-backed indexes are rebased onto the
+    /// persisted runs — no index is rebuilt and pages fault in lazily
+    /// through the snapshot's shared cache. Otherwise its tuples are
+    /// decoded from the primary run (or the inline section) and
+    /// inserted. With provenance on, only the `.input` relations are
+    /// taken from the snapshot (as height-0 axioms) and everything
+    /// derived is recomputed, regaining its rule and height annotations;
+    /// annotations are never serialized, so the format is the same in
+    /// every mode.
     fn from_snapshot(
         engine: Engine,
         config: InterpreterConfig,
-        snap: wal::SnapshotData,
+        snap: Snap2,
         tel: Option<&Telemetry>,
     ) -> Result<ResidentEngine, EngineError> {
         let mut ram = engine.into_ram();
         let tracer = tel.map(|t| &t.tracer);
-        let mode = if config.legacy_data {
-            DataMode::LegacyDynamic
-        } else {
-            DataMode::Specialized
-        };
-        let db = {
-            let _span = tracer.map(|t| t.span("phase:build-db"));
-            Database::new_with_storage(&ram, mode, config.provenance, config.storage)
-        };
+        let db = build_db(&ram, config, tel);
         {
             // Replace the table wholesale: every bit pattern in the
             // snapshot was encoded against it. The program's own symbols
@@ -460,173 +490,21 @@ impl ResidentEngine {
             }
             *db.symbols_wr() = fresh;
         }
+        if snap
+            .extra_facts
+            .iter()
+            .any(|(rid, _)| rid.0 >= ram.relations.len())
+        {
+            return Err(StorageError::new("snapshot replay list names an unknown relation").into());
+        }
         if !config.provenance {
-            db.counter
-                .store(snap.counter, std::sync::atomic::Ordering::Relaxed);
+            db.counter.store(snap.counter, Ordering::Relaxed);
         }
 
+        let rebase = config.storage == StorageBackend::Disk && !config.provenance;
+        let mut covered = vec![false; ram.relations.len()];
         {
             let _span = tracer.map(|t| t.span("phase:load-snapshot"));
-            for (name, tuples) in &snap.relations {
-                let meta = ram.relation_by_name(name).ok_or_else(|| {
-                    StorageError::new(format!("snapshot relation `{name}` is not in the program"))
-                })?;
-                // Annotations are deliberately not serialized: with
-                // provenance on, only the `.input` relations are taken
-                // from the snapshot (as height-0 axioms) and everything
-                // derived is recomputed below, regaining its rule and
-                // height annotations. The snapshot format stays identical
-                // in both modes.
-                if config.provenance && !meta.is_input {
-                    continue;
-                }
-                let mut rel = db.wr(meta.id);
-                // The snapshot is the *complete* state of this relation.
-                // `Database::new_with` pre-inserted the program's ground
-                // facts; any of them missing from the snapshot was
-                // retracted before it was taken and must not resurrect.
-                rel.clear();
-                for t in tuples {
-                    if t.len() != meta.arity {
-                        return Err(StorageError::new(format!(
-                            "snapshot tuple for `{name}` has arity {}, expected {}",
-                            t.len(),
-                            meta.arity
-                        ))
-                        .into());
-                    }
-                    if rel.insert(t) && config.provenance {
-                        rel.record_annotation(t, 0, crate::database::RULE_INPUT);
-                    }
-                }
-            }
-        }
-        {
-            // Reconcile the ground-fact replay list the same way: a
-            // program fact of a snapshot-covered `.input` relation that
-            // the snapshot no longer contains was retracted, and a later
-            // fallback recompute must not replay it back to life.
-            let mut covered = vec![false; ram.relations.len()];
-            for (name, _) in &snap.relations {
-                if let Some(m) = ram.relation_by_name(name) {
-                    if m.is_input {
-                        covered[m.id.0] = true;
-                    }
-                }
-            }
-            ram.facts
-                .retain(|(rid, t)| !covered[rid.0] || db.rd(*rid).contains(t));
-        }
-        let counters = Counters::default();
-        if config.provenance {
-            // Recompute-on-recovery: re-run the main fixpoint over the
-            // recovered inputs so derived tuples exist *with* annotations.
-            let tree = {
-                let _span = tracer.map(|t| t.span("phase:build-itree"));
-                itree::build_with_fusions(&ram, &config, &[])
-            };
-            let mut interp = Interpreter::new(&ram, &db, config);
-            if let Some(t) = tel {
-                interp.attach_telemetry(t);
-            }
-            {
-                let _span = tracer.map(|t| t.span("phase:evaluate"));
-                interp.run(&tree)?;
-            }
-            counters.absorb_parallel(interp.parallel_report().as_ref());
-            // Auto-increment ids were re-allocated during the recompute;
-            // keep the snapshot's high-water mark so future allocations
-            // never collide with values it recorded.
-            let cur = db.counter.load(std::sync::atomic::Ordering::Relaxed);
-            db.counter
-                .store(cur.max(snap.counter), std::sync::atomic::Ordering::Relaxed);
-        }
-        for (rid, _) in &snap.extra_facts {
-            if rid.0 >= ram.relations.len() {
-                return Err(
-                    StorageError::new("snapshot replay list names an unknown relation").into(),
-                );
-            }
-        }
-        if let Some(t) = tel {
-            db.sample_metrics(&ram, &t.metrics);
-        }
-
-        let mut aux_of = vec![Vec::new(); ram.relations.len()];
-        let mut all_upds = Vec::new();
-        for r in &ram.relations {
-            match r.role {
-                Role::Standard => {}
-                Role::Delta(b) | Role::New(b) => aux_of[b.0].push(r.id),
-                Role::Upd(b) => {
-                    aux_of[b.0].push(r.id);
-                    all_upds.push(r.id);
-                }
-            }
-        }
-
-        Ok(ResidentEngine {
-            ram,
-            config,
-            db,
-            extra_facts: snap.extra_facts,
-            aux_of,
-            all_upds,
-            counters,
-            initial_profile: None,
-            persistence: None,
-            serve_metrics: Arc::new(ServeMetrics::off()),
-            health: Arc::new(HealthMonitor::new()),
-            run_file: None,
-        })
-    }
-
-    /// Builds a resident engine directly off a mapped v2 snapshot — the
-    /// disk-storage cold-start path. No fixpoint runs and no index is
-    /// rebuilt: each disk-backed index is rebased onto its persisted run
-    /// (pages fault in lazily through the shared cache) and only the
-    /// inline relations (nullary, eqrel) are materialized. Callers
-    /// guarantee `config.storage == Disk` and provenance off (provenance
-    /// recovery recomputes annotations, so it goes through
-    /// [`Self::from_snapshot`] on materialized tuples instead).
-    fn from_snap2(
-        engine: Engine,
-        config: InterpreterConfig,
-        snap: snap2::Snap2,
-        tel: Option<&Telemetry>,
-    ) -> Result<ResidentEngine, EngineError> {
-        let mut ram = engine.into_ram();
-        let tracer = tel.map(|t| &t.tracer);
-        let mode = if config.legacy_data {
-            DataMode::LegacyDynamic
-        } else {
-            DataMode::Specialized
-        };
-        let db = {
-            let _span = tracer.map(|t| t.span("phase:build-db"));
-            Database::new_with_storage(&ram, mode, config.provenance, config.storage)
-        };
-        {
-            // Same wholesale symbol-table replacement as
-            // [`Self::from_snapshot`]: the snapshot's bit patterns were
-            // encoded against it.
-            let mut fresh = SymbolTable::new();
-            for s in &snap.symbols {
-                fresh.intern(s);
-            }
-            if fresh.len() < ram.symbols.len() {
-                return Err(StorageError::new(
-                    "snapshot symbol table is smaller than the program's",
-                )
-                .into());
-            }
-            *db.symbols_wr() = fresh;
-        }
-        db.counter
-            .store(snap.counter, std::sync::atomic::Ordering::Relaxed);
-
-        {
-            let _span = tracer.map(|t| t.span("phase:map-snapshot"));
             for srel in &snap.relations {
                 let meta = ram.relation_by_name(&srel.name).ok_or_else(|| {
                     StorageError::new(format!(
@@ -641,92 +519,64 @@ impl ResidentEngine {
                     ))
                     .into());
                 }
-                let mut rel = db.wr(meta.id);
-                if let Some(tuples) = &srel.inline {
-                    // The snapshot is the complete state: ground facts
-                    // pre-inserted by `Database::new_with_storage` that
-                    // are missing from it were retracted and must not
-                    // resurrect.
-                    rel.clear();
-                    for t in tuples {
-                        if t.len() != meta.arity {
-                            return Err(StorageError::new(format!(
-                                "snapshot tuple for `{}` has arity {}, expected {}",
-                                srel.name,
-                                t.len(),
-                                meta.arity
-                            ))
-                            .into());
-                        }
-                        rel.insert(t);
-                    }
+                covered[meta.id.0] |= meta.is_input;
+                if config.provenance && !meta.is_input {
                     continue;
                 }
-                // Run-backed: every index of the relation must be a
-                // DiskIndex whose order matches the persisted run (the
-                // fingerprint makes a mismatch a corruption, not a
-                // version skew).
-                if rel.index_count() != srel.runs.len() {
-                    return Err(StorageError::new(format!(
-                        "snapshot relation `{}` has {} runs, the program wants {} indexes",
-                        srel.name,
-                        srel.runs.len(),
-                        rel.index_count()
-                    ))
-                    .into());
+                let mut rel = db.wr(meta.id);
+                if rebase && srel.inline.is_none() {
+                    rebase_relation(&mut rel, &snap, srel)?;
+                    continue;
                 }
-                for (k, run) in srel.runs.iter().enumerate() {
-                    let base = snap.base_run(srel, k);
-                    let idx = rel.index_mut(k);
-                    if idx.order().columns() != &run.order[..] {
-                        return Err(StorageError::new(format!(
-                            "snapshot run {k} of `{}` is ordered {:?}, the index wants {:?}",
-                            srel.name,
-                            run.order,
-                            idx.order().columns()
-                        ))
-                        .into());
+                // The snapshot is the *complete* state of this relation.
+                // `Database::new_with_storage` pre-inserted the program's
+                // ground facts; any of them missing from the snapshot was
+                // retracted before it was taken and must not resurrect.
+                rel.clear();
+                snap.for_each_tuple(srel, |t| {
+                    if rel.insert(t) && config.provenance {
+                        rel.record_annotation(t, 0, crate::database::RULE_INPUT);
                     }
-                    idx.as_any_mut()
-                        .downcast_mut::<DiskIndex>()
-                        .ok_or_else(|| {
-                            StorageError::new(format!(
-                                "snapshot relation `{}` is run-backed but index {k} is not \
-                                 a disk index",
-                                srel.name
-                            ))
-                        })?
-                        .rebase(base);
-                }
+                });
             }
         }
-        {
-            // Ground-fact replay-list reconciliation, as in
-            // [`Self::from_snapshot`]: a program fact of a
-            // snapshot-covered `.input` relation that the snapshot no
-            // longer contains was retracted.
-            let mut covered = vec![false; ram.relations.len()];
-            for srel in &snap.relations {
-                if let Some(m) = ram.relation_by_name(&srel.name) {
-                    if m.is_input {
-                        covered[m.id.0] = true;
-                    }
-                }
-            }
-            ram.facts
-                .retain(|(rid, t)| !covered[rid.0] || db.rd(*rid).contains(t));
+        // Reconcile the ground-fact replay list the same way: a program
+        // fact of a snapshot-covered `.input` relation that the snapshot
+        // no longer contains was retracted, and a later fallback
+        // recompute must not replay it back to life.
+        ram.facts
+            .retain(|(rid, t)| !covered[rid.0] || db.rd(*rid).contains(t));
+
+        let counters = Counters::default();
+        if config.provenance {
+            // Recompute-on-recovery: re-run the main fixpoint over the
+            // recovered inputs so derived tuples exist *with* annotations.
+            evaluate(&ram, &db, config, tel, &counters)?;
+            // Auto-increment ids were re-allocated during the recompute;
+            // keep the snapshot's high-water mark so future allocations
+            // never collide with values it recorded.
+            db.counter.fetch_max(snap.counter, Ordering::Relaxed);
         }
-        for (rid, _) in &snap.extra_facts {
-            if rid.0 >= ram.relations.len() {
-                return Err(
-                    StorageError::new("snapshot replay list names an unknown relation").into(),
-                );
-            }
-        }
+        Ok(ResidentEngine {
+            run_file: rebase.then_some(snap.file),
+            ..Self::assemble(ram, config, db, snap.extra_facts, counters, tel)
+        })
+    }
+
+    /// The tail shared by both constructors: derives the auxiliary
+    /// relation tables, samples the database into the metrics registry,
+    /// and wires up the not-yet-durable serving state.
+    fn assemble(
+        ram: RamProgram,
+        config: InterpreterConfig,
+        db: Database,
+        extra_facts: Vec<(RelId, Vec<RamDomain>)>,
+        counters: Counters,
+        tel: Option<&Telemetry>,
+    ) -> ResidentEngine {
         if let Some(t) = tel {
             db.sample_metrics(&ram, &t.metrics);
         }
-
         let mut aux_of = vec![Vec::new(); ram.relations.len()];
         let mut all_upds = Vec::new();
         for r in &ram.relations {
@@ -739,26 +589,25 @@ impl ResidentEngine {
                 }
             }
         }
-
-        Ok(ResidentEngine {
+        ResidentEngine {
             ram,
             config,
             db,
-            extra_facts: snap.extra_facts,
+            extra_facts,
             aux_of,
             all_upds,
-            counters: Counters::default(),
+            counters,
             initial_profile: None,
             persistence: None,
             serve_metrics: Arc::new(ServeMetrics::off()),
             health: Arc::new(HealthMonitor::new()),
-            run_file: Some(snap.file),
-        })
+            run_file: None,
+        }
     }
 
     /// Opens a resident engine backed by a data directory: loads the
-    /// latest valid snapshot (falling back to a fresh evaluation of
-    /// `inputs`), replays the WAL suffix, truncates any torn tail, and
+    /// snapshot if there is one (otherwise evaluates `inputs` from
+    /// scratch), replays the WAL suffix, truncates any torn tail, and
     /// keeps the WAL open for [`Self::insert_facts`] appends.
     ///
     /// When a snapshot is loaded, `inputs` is ignored — the snapshot
@@ -767,8 +616,11 @@ impl ResidentEngine {
     /// # Errors
     ///
     /// Propagates construction errors and I/O failures on the data
-    /// directory. An *invalid* snapshot or torn WAL tail is not an
-    /// error: recovery degrades to re-evaluation and reports it.
+    /// directory. Recovery fails closed: a snapshot file that exists but
+    /// does not open (damaged, truncated, from another program, or in a
+    /// retired format) is an error naming the file and the byte offset,
+    /// returned before the snapshot or the WAL is touched. Only a torn
+    /// WAL tail — a crash mid-append, never acknowledged — is repaired.
     pub fn open(
         engine: Engine,
         config: InterpreterConfig,
@@ -783,49 +635,23 @@ impl ResidentEngine {
         let wal_path = data_dir.join(WAL_FILE);
 
         let mut report = RecoveryReport::default();
-        let mut this = if snap2::is_v2(&snap_path) {
-            // A v2 snapshot: under disk storage the run region is mapped
-            // and served in place (no fixpoint, no index rebuild); under
-            // memory storage — or with provenance on, which recomputes
-            // derived tuples to regain annotations — the runs are
-            // materialized into the v1 load path. Either way the format
-            // is portable across engine modes and storage backends.
-            match snap2::open_snapshot_v2(&snap_path, fp, disk::cache_budget_from_env()) {
-                Ok(snap) => {
-                    report.snapshot_loaded = true;
-                    if config.storage == StorageBackend::Disk && !config.provenance {
-                        Self::from_snap2(engine, config, snap, tel)?
-                    } else {
-                        Self::from_snapshot(engine, config, snap.into_snapshot_data(), tel)?
-                    }
-                }
-                Err(reason) => {
-                    if let Some(t) = tel {
-                        t.logger.log(
-                            LogLevel::Warn,
-                            &format!("ignoring unusable snapshot: {reason}"),
-                        );
-                    }
-                    Self::new(engine, config, inputs, tel)?
-                }
-            }
+        let has_snapshot = snap_path
+            .try_exists()
+            .map_err(|e| StorageError::io("probe snapshot", &e))?;
+        let mut this = if has_snapshot {
+            let snap = snap2::open_snapshot_v2(&snap_path, fp, disk::cache_budget_from_env())
+                .map_err(|e| {
+                    StorageError::new(format!(
+                        "refusing to start: snapshot {} is unusable: {}; \
+                         move it aside to recover from the program inputs and the WAL alone",
+                        snap_path.display(),
+                        e.msg
+                    ))
+                })?;
+            report.snapshot_loaded = true;
+            Self::from_snapshot(engine, config, snap, tel)?
         } else {
-            match wal::read_snapshot(&snap_path, fp) {
-                SnapshotLoad::Loaded(snap) => {
-                    report.snapshot_loaded = true;
-                    Self::from_snapshot(engine, config, snap, tel)?
-                }
-                SnapshotLoad::Missing => Self::new(engine, config, inputs, tel)?,
-                SnapshotLoad::Invalid(reason) => {
-                    if let Some(t) = tel {
-                        t.logger.log(
-                            LogLevel::Warn,
-                            &format!("ignoring unusable snapshot: {reason}"),
-                        );
-                    }
-                    Self::new(engine, config, inputs, tel)?
-                }
-            }
+            Self::new(engine, config, inputs, tel)?
         };
 
         let replay_started = Instant::now();
@@ -861,14 +687,7 @@ impl ResidentEngine {
 
         report.replay_ms = replay_started.elapsed().as_millis().min(u64::MAX as u128) as u64;
 
-        let valid_len = if replayed.version == 1 {
-            // Upgrade a version-1 log in place before appending: one
-            // file never mixes kind-less and kinded frames.
-            wal::rewrite(&wal_path, fp, &replayed.records)?
-        } else {
-            replayed.valid_len
-        };
-        let wal = WalWriter::open(&wal_path, opts.durability, fp, valid_len)?;
+        let wal = WalWriter::open(&wal_path, opts.durability, fp, replayed.valid_len)?;
         this.persistence = Some(Persistence {
             dir: data_dir.to_path_buf(),
             wal,
@@ -1795,7 +1614,10 @@ impl ResidentEngine {
 
     /// Writes a snapshot and truncates the WAL. The snapshot is the new
     /// recovery baseline: every previously logged batch is covered by
-    /// it, so the log restarts empty.
+    /// it, so the log restarts empty. The live indexes keep serving off
+    /// their current base (the renamed-over file stays readable through
+    /// its open handle) plus overlays; only [`Self::compact`] rebases
+    /// them.
     ///
     /// # Errors
     ///
@@ -1804,97 +1626,65 @@ impl ResidentEngine {
     /// truncation failure replay after the *new* snapshot merely
     /// re-inserts duplicates, which is idempotent).
     pub fn snapshot(&mut self, tel: Option<&Telemetry>) -> Result<SnapshotStats, EngineError> {
-        let _span = tel.map(|t| t.tracer.span("phase:serve:snapshot"));
-        let t_snap = self.serve_metrics.start();
-        let Some(p) = &mut self.persistence else {
-            return Err(StorageError::new("no data directory configured").into());
-        };
-        let stats = if self.config.storage == StorageBackend::Disk {
-            // Disk engines snapshot in the v2 run format so the next
-            // cold start maps the file instead of rebuilding indexes.
-            // The live indexes keep serving off their current base (the
-            // renamed-over file stays readable through its open handle)
-            // plus overlays; only `.compact` rebases them.
-            snap2::write_snapshot_v2(
-                &p.snapshot_path(),
-                p.fp,
-                &self.ram,
-                &self.db,
-                &self.extra_facts,
-                FaultPoint::SnapshotWrite,
-            )?
-        } else {
-            wal::write_snapshot(
-                &p.snapshot_path(),
-                p.fp,
-                &self.ram,
-                &self.db,
-                &self.extra_facts,
-            )?
-        };
-        p.wal.reset()?;
-        p.batches_since_snapshot = 0;
-        p.snapshot_writes += 1;
-        p.snapshot_tuples += stats.tuples;
-        self.serve_metrics
-            .observe(&self.serve_metrics.snapshot_write, t_snap);
-        Ok(stats)
+        self.write_snapshot(tel, false)
     }
 
-    /// Rewrites the database as a fresh v2 snapshot — folding every
-    /// disk-backed index's delta overlay into new base runs — truncates
-    /// the WAL, and (under disk storage) rebases the live indexes onto
-    /// the fresh file, emptying their overlays and releasing the old
-    /// snapshot's pages. The write is atomic (temp + fsync + rename,
-    /// gated by the `compact_write` fault point); a failure leaves the
-    /// previous snapshot and the live overlays untouched.
-    ///
-    /// Under memory storage this still writes a v2 file (the format is
-    /// portable), so a later restart with `--storage disk` cold-starts
-    /// off it; there is just nothing to rebase.
+    /// Writes a snapshot like [`Self::snapshot`] — folding every
+    /// disk-backed index's delta overlay into new base runs — and, under
+    /// disk storage, rebases the live indexes onto the fresh file,
+    /// emptying their overlays and releasing the old snapshot's pages.
+    /// The write is atomic (temp + fsync + rename, gated by the
+    /// `compact_write` fault point); a failure leaves the previous
+    /// snapshot and the live overlays untouched.
     ///
     /// # Errors
     ///
     /// Fails when the engine has no data directory, and on snapshot or
     /// WAL I/O errors.
     pub fn compact(&mut self, tel: Option<&Telemetry>) -> Result<SnapshotStats, EngineError> {
-        let _span = tel.map(|t| t.tracer.span("phase:serve:compact"));
+        self.write_snapshot(tel, true)
+    }
+
+    /// The write routine behind [`Self::snapshot`] and [`Self::compact`],
+    /// which differ only in the fault point armed and the rebase.
+    fn write_snapshot(
+        &mut self,
+        tel: Option<&Telemetry>,
+        compact: bool,
+    ) -> Result<SnapshotStats, EngineError> {
+        let (span, fault_point) = if compact {
+            ("phase:serve:compact", FaultPoint::CompactWrite)
+        } else {
+            ("phase:serve:snapshot", FaultPoint::SnapshotWrite)
+        };
+        let _span = tel.map(|t| t.tracer.span(span));
         let t_snap = self.serve_metrics.start();
         let Some(p) = &mut self.persistence else {
             return Err(StorageError::new("no data directory configured").into());
         };
+        let path = p.snapshot_path();
         let stats = snap2::write_snapshot_v2(
-            &p.snapshot_path(),
+            &path,
             p.fp,
             &self.ram,
             &self.db,
             &self.extra_facts,
-            FaultPoint::CompactWrite,
+            fault_point,
         )?;
         p.wal.reset()?;
         p.batches_since_snapshot = 0;
         p.snapshot_writes += 1;
         p.snapshot_tuples += stats.tuples;
-        if self.config.storage == StorageBackend::Disk {
-            let snap =
-                snap2::open_snapshot_v2(&p.snapshot_path(), p.fp, disk::cache_budget_from_env())?;
-            for srel in &snap.relations {
-                if srel.runs.is_empty() {
-                    continue;
-                }
+        if compact && self.config.storage == StorageBackend::Disk {
+            let snap = snap2::open_snapshot_v2(&path, p.fp, disk::cache_budget_from_env())?;
+            for srel in snap.relations.iter().filter(|r| !r.runs.is_empty()) {
                 let meta = self.ram.relation_by_name(&srel.name).ok_or_else(|| {
                     StorageError::new(format!(
                         "compacted snapshot names unknown relation `{}`",
                         srel.name
                     ))
                 })?;
-                let mut rel = self.db.wr(meta.id);
-                for k in 0..srel.runs.len() {
-                    let base = snap.base_run(srel, k);
-                    if let Some(di) = rel.index_mut(k).as_any_mut().downcast_mut::<DiskIndex>() {
-                        di.rebase(base);
-                    }
-                }
+                rebase_relation(&mut self.db.wr(meta.id), &snap, srel)?;
             }
             self.run_file = Some(snap.file);
         }
@@ -2513,7 +2303,7 @@ mod tests {
         inputs.insert("e".into(), pairs(&[(1, 2)]));
         let opts = PersistOptions::default();
 
-        // v1 (mem) snapshot restores under disk storage...
+        // A snapshot written under mem storage restores under disk...
         let (mut r, _) = open_dir(TC, mem, &inputs, &dir, opts);
         r.insert_facts("e", &pairs(&[(2, 3)]), None)
             .expect("inserts");
@@ -2524,7 +2314,7 @@ mod tests {
         assert!(rec.snapshot_loaded);
         assert_eq!(r.outputs(), before);
 
-        // ...and the v2 (disk) snapshot it now writes restores under mem.
+        // ...and the one it now writes under disk restores under mem.
         r.insert_facts("e", &pairs(&[(3, 4)]), None)
             .expect("inserts");
         r.snapshot(None).expect("snapshots");
@@ -2631,7 +2421,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_v2_snapshot_degrades_to_reevaluation() {
+    fn corrupt_snapshot_fails_closed_and_touches_nothing() {
         let dir = tmpdir("disk-corrupt");
         let disk = InterpreterConfig::optimized().with_storage(StorageBackend::Disk);
         let mut inputs = InputData::new();
@@ -2642,22 +2432,58 @@ mod tests {
         r.insert_facts("e", &pairs(&[(2, 3)]), None)
             .expect("inserts");
         r.snapshot(None).expect("snapshots");
-        let before = r.outputs();
+        r.insert_facts("e", &pairs(&[(3, 4)]), None)
+            .expect("inserts");
         drop(r);
 
         // Flip one byte in the middle of the run region: the streaming
-        // CRC rejects the file and recovery falls back to re-evaluating
-        // the program plus the (truncated-at-snapshot) WAL — which is
-        // empty here, so only the original inputs survive.
+        // CRC rejects the file, and recovery refuses to start rather
+        // than re-evaluate without the snapshot's batches.
         let snap = dir.join(SNAPSHOT_FILE);
+        let wal_path = dir.join(WAL_FILE);
         let mut bytes = std::fs::read(&snap).expect("reads");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&snap, &bytes).expect("writes");
-        let (r, rec) = open_dir(TC, disk, &inputs, &dir, opts);
-        assert!(!rec.snapshot_loaded, "corrupt snapshot is not loaded");
-        assert_ne!(r.outputs(), before, "post-snapshot insert lost with it");
-        assert_eq!(r.outputs()["p"], pairs(&[(1, 2)]));
+        let wal_bytes = std::fs::read(&wal_path).expect("reads WAL");
+        assert!(wal_bytes.len() as u64 > 16, "the WAL holds a batch");
+
+        let refuse = |dir: &Path| {
+            let engine = crate::engine::Engine::from_source(TC).expect("compiles");
+            ResidentEngine::open(engine, disk, &inputs, dir, opts, None)
+                .expect_err("an unusable snapshot must refuse to start")
+                .to_string()
+        };
+        let err = refuse(&dir);
+        let trailer = bytes.len() - 4;
+        assert!(err.contains(&snap.display().to_string()), "{err}");
+        assert!(err.contains(&format!("byte offset {trailer}")), "{err}");
+        assert!(err.contains("move it aside"), "{err}");
+        assert_eq!(
+            std::fs::read(&snap).expect("reads"),
+            bytes,
+            "snapshot untouched"
+        );
+        assert_eq!(
+            std::fs::read(&wal_path).expect("reads"),
+            wal_bytes,
+            "WAL untouched"
+        );
+
+        // A file in the retired v1 format is refused the same way.
+        let mut v1 = b"STIRSNP1".to_vec();
+        v1.extend_from_slice(&bytes[8..]);
+        std::fs::write(&snap, &v1).expect("writes");
+        let err = refuse(&dir);
+        assert!(
+            err.contains("STIRSNP1") && err.contains("byte offset 0"),
+            "{err}"
+        );
+        assert_eq!(
+            std::fs::read(&wal_path).expect("reads"),
+            wal_bytes,
+            "WAL untouched"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,15 +1,16 @@
-//! Snapshot format v2: a disk-servable immutable database image.
+//! The snapshot format: a disk-servable immutable database image.
 //!
-//! The v1 snapshot (`STIRSNP1`, see [`crate::wal`]) stores every
-//! relation as source-order tuples; loading one rebuilds every B-tree
-//! index from scratch, so cold start costs a full re-index even though
-//! the fixpoint is skipped. Format v2 (`STIRSNP2`) instead persists each
-//! index of each disk-backed relation as a *run*: its tuples in sorted
-//! stored order, packed little-endian, preceded by a `u64` count. A run
-//! is exactly what [`stir_der::disk::BaseRun`] serves pages off, so a
-//! restart under `--storage disk` maps the file and is ready to answer
-//! queries after reading only the fixed header and the directory — no
-//! tuple is touched until a query faults its page in.
+//! A snapshot persists each index of each disk-backed relation as a
+//! *run*: its tuples in sorted stored order, packed little-endian,
+//! preceded by a `u64` count. A run is exactly what
+//! [`stir_der::disk::BaseRun`] serves pages off, so a restart under
+//! `--storage disk` maps the file and is ready to answer queries after
+//! reading only the fixed header and the directory — no tuple is touched
+//! until a query faults its page in. A restart under `--storage mem`
+//! reads the same file and inserts each relation's primary run into
+//! in-memory B-trees. This is the only snapshot format: every engine
+//! writes it (`.snapshot`, `--snapshot-interval`, `.compact`) and
+//! [`crate::resident::ResidentEngine::open`] loads it through one path.
 //!
 //! # Layout
 //!
@@ -36,26 +37,35 @@
 //! ```
 //!
 //! Relations that are not disk-eligible (nullary, eqrel closures, see
-//! [`crate::database::disk_backed`]) keep the v1 inline representation
-//! inside the directory (`run_count == 0`). The CRC trailer covers the
-//! whole file and is verified *streaming* at open — a bitflip anywhere,
-//! including deep inside a multi-gigabyte run region, fails recovery
-//! before any tuple is served. Every structural rejection names the byte
-//! offset it tripped over. Runs are stored in *stored* (index) order;
-//! the writer re-encodes source-layout adapters through
-//! [`stir_der::disk::write_run`], so the bytes are identical no matter
-//! which engine mode produced them, and the fingerprint guarantees the
-//! reader derives the same index orders from the same RAM program.
+//! [`crate::database::disk_backed`]) are stored inline in the directory
+//! (`run_count == 0`) as a headered [`stir_der::dump`] tuple section. The
+//! CRC trailer covers the whole file and is verified *streaming* at open
+//! — a bitflip anywhere, including deep inside a multi-gigabyte run
+//! region, fails recovery before any tuple is served. Every structural
+//! rejection names the byte offset it tripped over, and a file that
+//! starts with the retired v1 magic is refused at byte offset 0 by name.
+//! Runs are stored in *stored* (index) order; the writer re-encodes
+//! source-layout adapters through [`stir_der::disk::write_run`], so the
+//! bytes are identical no matter which engine mode produced them, and the
+//! fingerprint guarantees the reader derives the same index orders from
+//! the same RAM program.
 //!
-//! Like v1, the file is written to a same-directory temp file, fsynced,
-//! renamed into place, and the directory fsynced — a crash mid-write
-//! never damages the previous snapshot. The periodic snapshot path arms
-//! the `snapshot_write` fault point; `.compact` arms `compact_write`.
+//! A snapshot stores every `Role::Standard` relation — EDB *and* IDB —
+//! so loading one skips the initial fixpoint. The `extra_facts` replay
+//! list is persisted explicitly (not reconstructed from relation
+//! contents) because an `.input` relation that is also a rule head may
+//! contain derived tuples, and replaying those as ground facts would
+//! wrongly survive a negation-driven retraction.
+//!
+//! The file is written to a same-directory temp file, fsynced, renamed
+//! into place, and the directory fsynced — a crash mid-write never
+//! damages the previous snapshot. The periodic snapshot path arms the
+//! `snapshot_write` fault point; `.compact` arms `compact_write`.
 
 use crate::database::{disk_backed, Database};
 use crate::error::StorageError;
 use crate::fault::{self, FaultPoint};
-use crate::wal::{crc32_feed, put_str, put_u32, put_u64, ByteReader, SnapshotData, SnapshotStats};
+use crate::wal::{crc32_feed, put_str, put_u32, put_u64, ByteReader};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -65,14 +75,26 @@ use stir_der::order::Order;
 use stir_der::{IndexAdapter, RamDomain};
 use stir_ram::program::{RamProgram, RelId, Role};
 
-/// Snapshot v2 file magic.
+/// Snapshot file magic.
 pub const SNAP2_MAGIC: &[u8; 8] = b"STIRSNP2";
+
+/// The retired v1 snapshot magic, recognized only to refuse it.
+const SNAP1_MAGIC: &[u8; 8] = b"STIRSNP1";
 
 /// Current v2 format version (the `u32` after the magic).
 pub const SNAP2_VERSION: u32 = 2;
 
 /// Fixed header length: magic + version + fingerprint + dir offset/len.
 pub const SNAP2_HEADER: u64 = 8 + 4 + 8 + 8 + 8;
+
+/// What [`write_snapshot_v2`] persisted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SnapshotStats {
+    /// Tuples across all serialized relations.
+    pub tuples: u64,
+    /// Total snapshot size in bytes.
+    pub bytes: u64,
+}
 
 /// One persisted index run of a disk-backed relation.
 #[derive(Debug)]
@@ -94,7 +116,7 @@ pub struct Snap2Run {
 /// One relation's entry in the directory.
 #[derive(Debug)]
 pub struct Snap2Relation {
-    /// Relation name (names, not ids, key the snapshot — same as v1).
+    /// Relation name (names, not ids, key the snapshot).
     pub name: String,
     /// Column count.
     pub arity: usize,
@@ -134,47 +156,20 @@ impl Snap2 {
         )
     }
 
-    /// Materializes the snapshot into the v1 [`SnapshotData`] shape —
-    /// source-order tuples per relation — for engines running with
-    /// in-memory storage. Reads every primary run once, sequentially.
-    pub fn into_snapshot_data(self) -> SnapshotData {
-        let mut relations = Vec::with_capacity(self.relations.len());
-        for rel in &self.relations {
-            let tuples = match &rel.inline {
-                Some(t) => t.clone(),
-                None => {
-                    // Serve the primary run through a source-layout
-                    // DiskIndex: its scan decodes stored order back to
-                    // source tuples.
-                    let order = Order::new(rel.runs[0].order.clone());
-                    let idx = DiskIndex::with_base(order, true, self.base_run(rel, 0));
-                    let mut out = Vec::with_capacity(rel.runs[0].count);
-                    let mut it = idx.scan();
-                    while let Some(t) = it.next_tuple() {
-                        out.push(t.to_vec());
-                    }
-                    out
-                }
-            };
-            relations.push((rel.name.clone(), tuples));
+    /// Feeds every tuple of `rel`, in source order, to `f`: the inline
+    /// tuples, or the primary run decoded back from stored order (read
+    /// once, sequentially, through the page cache).
+    pub fn for_each_tuple(&self, rel: &Snap2Relation, mut f: impl FnMut(&[RamDomain])) {
+        if let Some(tuples) = &rel.inline {
+            tuples.iter().for_each(|t| f(t));
+            return;
         }
-        SnapshotData {
-            counter: self.counter,
-            symbols: self.symbols,
-            relations,
-            extra_facts: self.extra_facts,
+        let order = Order::new(rel.runs[0].order.clone());
+        let idx = DiskIndex::with_base(order, true, self.base_run(rel, 0));
+        let mut it = idx.scan();
+        while let Some(t) = it.next_tuple() {
+            f(t);
         }
-    }
-}
-
-/// Returns true when the file at `path` starts with the v2 magic.
-/// Missing or short files are simply "not v2" — the caller falls back
-/// to the v1 probe, which produces the proper Missing/Invalid verdict.
-pub fn is_v2(path: &Path) -> bool {
-    let mut head = [0u8; 8];
-    match File::open(path) {
-        Ok(mut f) => f.read_exact(&mut head).is_ok() && &head == SNAP2_MAGIC,
-        Err(_) => false,
     }
 }
 
@@ -362,9 +357,9 @@ pub fn write_snapshot_v2(
 ///
 /// # Errors
 ///
-/// Every rejection — bad magic, wrong version, foreign fingerprint,
-/// truncation, checksum mismatch, out-of-bounds or malformed run — is a
-/// [`StorageError`] naming the byte offset that tripped it. Injected
+/// Every rejection — bad or retired (v1) magic, wrong version, foreign
+/// fingerprint, truncation, checksum mismatch, out-of-bounds or malformed
+/// run — is a [`StorageError`] naming the byte offset that tripped it. Injected
 /// `disk_map` faults surface here too.
 pub fn open_snapshot_v2(path: &Path, fp: u64, cache_budget: usize) -> Result<Snap2, StorageError> {
     fault::check(FaultPoint::DiskMap).map_err(|e| StorageError::io("map snapshot", &e))?;
@@ -373,17 +368,24 @@ pub fn open_snapshot_v2(path: &Path, fp: u64, cache_budget: usize) -> Result<Sna
         .metadata()
         .map_err(|e| StorageError::io("stat snapshot", &e))?
         .len();
-    if file_len < SNAP2_HEADER + 4 {
+
+    let mut header = Vec::with_capacity(SNAP2_HEADER as usize);
+    (&mut f)
+        .take(SNAP2_HEADER)
+        .read_to_end(&mut header)
+        .map_err(|e| StorageError::io("read snapshot header", &e))?;
+    if header.starts_with(SNAP1_MAGIC) {
+        return Err(StorageError::new(
+            "unsupported snapshot format STIRSNP1 at byte offset 0 (this build reads only STIRSNP2)",
+        ));
+    }
+    if file_len < SNAP2_HEADER + 4 || header.len() < SNAP2_HEADER as usize {
         return Err(StorageError::new(format!(
             "truncated snapshot: {file_len} bytes at byte offset {file_len}, \
              need at least {} for header and checksum",
             SNAP2_HEADER + 4
         )));
     }
-
-    let mut header = [0u8; SNAP2_HEADER as usize];
-    f.read_exact(&mut header)
-        .map_err(|e| StorageError::io("read snapshot header", &e))?;
     if &header[..8] != SNAP2_MAGIC {
         return Err(StorageError::new(
             "bad snapshot magic at byte offset 0 (expected STIRSNP2)",
@@ -398,7 +400,7 @@ pub fn open_snapshot_v2(path: &Path, fp: u64, cache_budget: usize) -> Result<Sna
     let file_fp = u64::from_le_bytes(header[12..20].try_into().unwrap());
     if file_fp != fp {
         return Err(StorageError::new(
-            "snapshot belongs to a different program (fingerprint mismatch)",
+            "snapshot belongs to a different program (fingerprint mismatch at byte offset 12)",
         ));
     }
     let dir_offset = u64::from_le_bytes(header[20..28].try_into().unwrap());

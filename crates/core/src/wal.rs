@@ -1,11 +1,11 @@
-//! Durability: write-ahead fact log and database snapshots.
+//! Durability: the write-ahead fact log.
 //!
 //! The resident engine acknowledges an `insert_facts` batch only after
 //! the batch is in the write-ahead log, so a crash at *any* later point
 //! (during delta evaluation, between requests, mid-snapshot) loses no
-//! acknowledged data: restart loads the latest valid snapshot and
-//! replays the WAL suffix. This module owns the two on-disk formats; the
-//! recovery choreography lives in [`crate::resident`].
+//! acknowledged data: restart loads the snapshot ([`crate::snap2`], the
+//! only snapshot format) and replays the WAL suffix. This module owns the
+//! log format; the recovery choreography lives in [`crate::resident`].
 //!
 //! # WAL format
 //!
@@ -19,66 +19,35 @@
 //!                   tag 3     → [u32 len] [utf-8 bytes]   (symbol)
 //! ```
 //!
-//! Version 2 adds the per-record kind byte so retractions are logged
-//! alongside insertions. Version-1 logs (magic `STIRWAL1`, no kind byte)
-//! are still replayed — every record reads as an insert — and the opener
-//! rewrites them in the v2 format before appending, so a single log file
-//! never mixes frame formats. Values are stored *typed* (not as interned
-//! bit patterns) because a recovery without a snapshot re-interns symbols
-//! into a fresh table whose ids need not match the crashed process's. All
-//! integers are little-endian. Replay stops at the first short read or
-//! checksum mismatch — a torn tail from a crash mid-append — and the
-//! writer truncates the file back to the last valid record. A frame whose
+//! Values are stored *typed* (not as interned bit patterns) because a
+//! recovery without a snapshot re-interns symbols into a fresh table
+//! whose ids need not match the crashed process's. All integers are
+//! little-endian. Replay stops at the first short read or checksum
+//! mismatch — a torn tail from a crash mid-append — and the writer
+//! truncates the file back to the last valid record. A frame whose
 //! checksum *verifies* but whose payload does not decode (an unknown
 //! record kind, trailing bytes) is different: those bytes were written
 //! deliberately, by a newer or foreign writer, so replay fails loudly
 //! with the record's file offset instead of silently truncating
-//! acknowledged history.
-//!
-//! # Snapshot format
-//!
-//! ```text
-//! b"STIRSNP1" [u64 fingerprint] [u32 counter]
-//! [u32 symbol_count] symbol_count × ([u32 len] bytes)
-//! [u32 relation_count] relation_count ×
-//!     ([u32 name_len] name [u32 arity] tuple-section)   (see stir_der::dump)
-//! [u64 extra_fact_count] extra_fact_count ×
-//!     ([u32 rel_id] [u32 arity] arity × [u32])
-//! [u32 crc32 of everything before]
-//! ```
-//!
-//! A snapshot stores every `Role::Standard` relation — EDB *and* IDB —
-//! so loading one skips the initial fixpoint entirely. The `extra_facts`
-//! replay list is persisted explicitly (not reconstructed from relation
-//! contents) because an `.input` relation that is also a rule head may
-//! contain derived tuples, and replaying those as ground facts would
-//! wrongly survive a negation-driven retraction. Snapshots are written
-//! to a temp file, fsynced, and renamed into place, so a crash never
-//! leaves a half-written snapshot visible; the fingerprint (FNV-1a over
-//! the printed RAM program) rejects snapshots from a different program.
-//! The tuple payload is config-independent — RAM translation does not
-//! depend on [`crate::InterpreterConfig`] — so a snapshot written under
-//! one engine mode restores under any other.
+//! acknowledged history. A log that opens with the retired `STIRWAL1`
+//! magic is refused the same way, naming byte offset 0: it holds
+//! acknowledged batches this build cannot decode, so starting the log
+//! over would drop them.
 
-use crate::database::Database;
 use crate::error::StorageError;
 use crate::fault::{self, FaultPoint};
 use crate::telemetry::ServeMetrics;
 use crate::value::Value;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use stir_ram::expr::RamDomain;
-use stir_ram::program::{RamProgram, RelId, Role};
 
-/// WAL file magic (current, version 2: records carry a kind byte).
+/// WAL file magic (records carry a kind byte).
 const WAL_MAGIC: &[u8; 8] = b"STIRWAL2";
-/// Version-1 WAL magic: kind-less records, accepted on read as inserts.
+/// The retired kind-less WAL magic, recognized only to refuse it.
 const WAL_MAGIC_V1: &[u8; 8] = b"STIRWAL1";
-/// Snapshot file magic.
-const SNAP_MAGIC: &[u8; 8] = b"STIRSNP1";
 /// WAL header length: magic + fingerprint.
 const WAL_HEADER: u64 = 16;
 
@@ -310,7 +279,7 @@ impl<'a> ByteReader<'a> {
 /// What a WAL record does to its target relation on replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecordKind {
-    /// An `insert_facts` batch (v1 records all read as this).
+    /// An `insert_facts` batch.
     Insert,
     /// A `retract_facts` batch.
     Delete,
@@ -356,20 +325,16 @@ impl WalRecord {
         framed
     }
 
-    fn decode(payload: &[u8], version: u8) -> Result<WalRecord, StorageError> {
+    fn decode(payload: &[u8]) -> Result<WalRecord, StorageError> {
         let mut r = ByteReader::new(payload);
-        let kind = if version >= 2 {
-            match r.u8()? {
-                0 => WalRecordKind::Insert,
-                1 => WalRecordKind::Delete,
-                k => {
-                    return Err(StorageError::new(format!(
-                        "unknown WAL record kind {k} (written by a newer stir?)"
-                    )))
-                }
+        let kind = match r.u8()? {
+            0 => WalRecordKind::Insert,
+            1 => WalRecordKind::Delete,
+            k => {
+                return Err(StorageError::new(format!(
+                    "unknown WAL record kind {k} (written by a newer stir?)"
+                )))
             }
-        } else {
-            WalRecordKind::Insert
         };
         let rel = r.str()?;
         let rows = r.u32()? as usize;
@@ -394,7 +359,7 @@ impl WalRecord {
 }
 
 /// What [`replay`] found in an existing WAL.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WalReplay {
     /// Valid records, in append order.
     pub records: Vec<WalRecord>,
@@ -402,21 +367,6 @@ pub struct WalReplay {
     pub valid_len: u64,
     /// Bytes of torn tail discarded after the last valid record.
     pub torn_bytes: u64,
-    /// The header version of the file (2 for fresh/missing logs). A
-    /// version-1 log must be rewritten (see [`rewrite`]) before a v2
-    /// record is appended to it.
-    pub version: u8,
-}
-
-impl Default for WalReplay {
-    fn default() -> Self {
-        WalReplay {
-            records: Vec::new(),
-            valid_len: 0,
-            torn_bytes: 0,
-            version: 2,
-        }
-    }
 }
 
 /// Reads every valid record of the WAL at `path`, stopping at the first
@@ -428,11 +378,12 @@ impl Default for WalReplay {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors other than the file not existing, and rejects a
-/// checksum-*valid* frame whose payload does not decode (an unknown
+/// Propagates I/O errors other than the file not existing, refuses a log
+/// with the retired `STIRWAL1` magic (naming byte offset 0), and rejects
+/// a checksum-*valid* frame whose payload does not decode (an unknown
 /// record kind or trailing bytes — a newer or foreign writer, not a torn
-/// crash tail), reporting its file offset. Truncating such a frame would
-/// silently drop acknowledged history behind it.
+/// crash tail), reporting its file offset. Starting over or truncating
+/// in either case would silently drop acknowledged history.
 pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -442,8 +393,13 @@ pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalReplay::default()),
         Err(e) => return Err(StorageError::io("open WAL", &e)),
     };
+    if bytes.starts_with(WAL_MAGIC_V1) {
+        return Err(StorageError::new(
+            "unsupported WAL format STIRWAL1 at byte offset 0 (this build reads only STIRWAL2)",
+        ));
+    }
     if bytes.len() < WAL_HEADER as usize
-        || (&bytes[..8] != WAL_MAGIC && &bytes[..8] != WAL_MAGIC_V1)
+        || &bytes[..8] != WAL_MAGIC
         || bytes[8..16] != fp.to_le_bytes()
     {
         // Foreign or truncated-below-header WAL: start over. (A header
@@ -451,10 +407,8 @@ pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
         // case nothing was ever acknowledged.)
         return Ok(WalReplay::default());
     }
-    let version: u8 = if &bytes[..8] == WAL_MAGIC { 2 } else { 1 };
     let mut out = WalReplay {
         valid_len: WAL_HEADER,
-        version,
         ..WalReplay::default()
     };
     let mut pos = WAL_HEADER as usize;
@@ -474,7 +428,7 @@ pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
         // writer meant to append; a decode failure here is a format we
         // do not understand, not damage, and must not be "recovered"
         // from by truncation.
-        let record = WalRecord::decode(payload, version)
+        let record = WalRecord::decode(payload)
             .map_err(|e| StorageError::new(format!("WAL record at offset {pos}: {}", e.msg)))?;
         out.records.push(record);
         pos += 8 + len;
@@ -482,37 +436,6 @@ pub fn replay(path: &Path, fp: u64) -> Result<WalReplay, StorageError> {
     }
     out.torn_bytes = bytes.len() as u64 - out.valid_len;
     Ok(out)
-}
-
-/// Rewrites the WAL at `path` as a fresh version-2 log holding exactly
-/// `records` (atomically: temp file + fsync + rename), returning the new
-/// valid length. Used by recovery to upgrade a version-1 log in place so
-/// appended delete records never share a file with kind-less v1 frames.
-///
-/// # Errors
-///
-/// Propagates I/O errors; on failure the original log is untouched.
-pub fn rewrite(path: &Path, fp: u64, records: &[WalRecord]) -> Result<u64, StorageError> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(WAL_MAGIC);
-    buf.extend_from_slice(&fp.to_le_bytes());
-    for rec in records {
-        buf.extend_from_slice(&WalRecord::encode(rec.kind, &rec.rel, &rec.rows));
-    }
-    let err = |op: &'static str| move |e: io::Error| StorageError::io(op, &e);
-    let tmp = path.with_extension("upgrade");
-    {
-        let mut f = File::create(&tmp).map_err(err("create WAL upgrade temp"))?;
-        f.write_all(&buf).map_err(err("write WAL upgrade"))?;
-        f.sync_all().map_err(err("fsync WAL upgrade"))?;
-    }
-    std::fs::rename(&tmp, path).map_err(err("publish WAL upgrade"))?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(buf.len() as u64)
 }
 
 /// Append-path counters, surfaced as `wal.*` metrics.
@@ -947,200 +870,10 @@ impl CommitTicket {
     }
 }
 
-// ---------------------------------------------------------------------
-// Snapshots
-// ---------------------------------------------------------------------
-
-/// The decoded contents of a valid snapshot file.
-#[derive(Debug)]
-pub struct SnapshotData {
-    /// The `$` auto-increment counter at snapshot time.
-    pub counter: u32,
-    /// The full symbol table, in id order.
-    pub symbols: Vec<String>,
-    /// Every `Role::Standard` relation's tuples, by name.
-    pub relations: Vec<(String, Vec<Vec<RamDomain>>)>,
-    /// The externally-inserted fact replay list.
-    pub extra_facts: Vec<(RelId, Vec<RamDomain>)>,
-}
-
-/// The outcome of probing for a snapshot.
-#[derive(Debug)]
-pub enum SnapshotLoad {
-    /// No snapshot file exists.
-    Missing,
-    /// A file exists but is unusable (corrupt, foreign program, I/O
-    /// error); recovery proceeds as if it were missing.
-    Invalid(String),
-    /// A valid snapshot.
-    Loaded(SnapshotData),
-}
-
-/// What [`write_snapshot`] persisted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotStats {
-    /// Tuples across all serialized relations.
-    pub tuples: u64,
-    /// Total snapshot size in bytes.
-    pub bytes: u64,
-}
-
-/// Serializes the database atomically to `path` (same directory temp
-/// file + fsync + rename + directory fsync).
-///
-/// # Errors
-///
-/// I/O failures and injected `snapshot_write`/`snapshot_rename` faults;
-/// on error the previous snapshot (if any) is untouched.
-pub fn write_snapshot(
-    path: &Path,
-    fp: u64,
-    ram: &RamProgram,
-    db: &Database,
-    extra_facts: &[(RelId, Vec<RamDomain>)],
-) -> Result<SnapshotStats, StorageError> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(SNAP_MAGIC);
-    put_u64(&mut buf, fp);
-    put_u32(
-        &mut buf,
-        db.counter.load(std::sync::atomic::Ordering::Relaxed),
-    );
-
-    {
-        let symbols = db.symbols_rd();
-        let strings = symbols.strings();
-        put_u32(&mut buf, strings.len() as u32);
-        for s in strings {
-            put_str(&mut buf, s);
-        }
-    }
-
-    let standard: Vec<_> = ram
-        .relations
-        .iter()
-        .filter(|r| r.role == Role::Standard)
-        .collect();
-    let mut tuples = 0u64;
-    put_u32(&mut buf, standard.len() as u32);
-    for meta in standard {
-        put_str(&mut buf, &meta.name);
-        put_u32(&mut buf, meta.arity as u32);
-        tuples += stir_der::dump::write_tuples(&mut buf, &db.rd(meta.id))
-            .expect("Vec<u8> writes are infallible");
-    }
-
-    put_u64(&mut buf, extra_facts.len() as u64);
-    for (rid, t) in extra_facts {
-        put_u32(&mut buf, rid.0 as u32);
-        put_u32(&mut buf, t.len() as u32);
-        for &v in t {
-            put_u32(&mut buf, v);
-        }
-    }
-
-    let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
-
-    let err = |op: &'static str| move |e: io::Error| StorageError::io(op, &e);
-    let tmp: PathBuf = path.with_extension("tmp");
-    fault::check(FaultPoint::SnapshotWrite).map_err(err("write snapshot"))?;
-    {
-        let mut f = File::create(&tmp).map_err(err("create snapshot temp"))?;
-        f.write_all(&buf).map_err(err("write snapshot"))?;
-        f.sync_all().map_err(err("fsync snapshot"))?;
-    }
-    fault::check(FaultPoint::SnapshotRename).map_err(err("publish snapshot"))?;
-    std::fs::rename(&tmp, path).map_err(err("publish snapshot"))?;
-    if let Some(dir) = path.parent() {
-        // Make the rename itself durable.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(SnapshotStats {
-        tuples,
-        bytes: buf.len() as u64,
-    })
-}
-
-/// Probes `path` for a snapshot matching the program fingerprint.
-pub fn read_snapshot(path: &Path, fp: u64) -> SnapshotLoad {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            if let Err(e) = f.read_to_end(&mut bytes) {
-                return SnapshotLoad::Invalid(format!("read snapshot: {e}"));
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return SnapshotLoad::Missing,
-        Err(e) => return SnapshotLoad::Invalid(format!("open snapshot: {e}")),
-    }
-    match parse_snapshot(&bytes, fp) {
-        Ok(data) => SnapshotLoad::Loaded(data),
-        Err(e) => SnapshotLoad::Invalid(e.msg),
-    }
-}
-
-fn parse_snapshot(bytes: &[u8], fp: u64) -> Result<SnapshotData, StorageError> {
-    if bytes.len() < 8 + 8 + 4 + 4 || &bytes[..8] != SNAP_MAGIC {
-        return Err(StorageError::new("bad snapshot magic"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != crc {
-        return Err(StorageError::new("snapshot checksum mismatch"));
-    }
-    let mut r = ByteReader::new(&body[8..]);
-    let file_fp = r.u64()?;
-    if file_fp != fp {
-        return Err(StorageError::new(
-            "snapshot belongs to a different program (fingerprint mismatch)",
-        ));
-    }
-    let counter = r.u32()?;
-    let symbol_count = r.u32()? as usize;
-    let mut symbols = Vec::with_capacity(symbol_count);
-    for _ in 0..symbol_count {
-        symbols.push(r.str()?);
-    }
-    let rel_count = r.u32()? as usize;
-    let mut relations = Vec::with_capacity(rel_count);
-    for _ in 0..rel_count {
-        let name = r.str()?;
-        let arity = r.u32()? as usize;
-        let mut section = r.buf.get(r.pos..).unwrap_or(&[]);
-        let before = section.len();
-        let tuples = stir_der::dump::read_tuples(&mut section, arity)
-            .map_err(|e| StorageError::io("decode snapshot tuples", &e))?;
-        r.pos += before - section.len();
-        relations.push((name, tuples));
-    }
-    let extra_count = r.u64()? as usize;
-    let mut extra_facts = Vec::with_capacity(extra_count);
-    for _ in 0..extra_count {
-        let rid = RelId(r.u32()? as usize);
-        let arity = r.u32()? as usize;
-        let mut t = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            t.push(r.u32()?);
-        }
-        extra_facts.push((rid, t));
-    }
-    if !r.done() {
-        return Err(StorageError::new("trailing bytes in snapshot"));
-    }
-    Ok(SnapshotData {
-        counter,
-        symbols,
-        relations,
-        extra_facts,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("stir-wal-{tag}-{}", std::process::id()));
@@ -1413,7 +1146,6 @@ mod tests {
         drop(w);
 
         let replayed = replay(&path, fp).expect("replays");
-        assert_eq!(replayed.version, 2);
         assert_eq!(
             replayed.records.iter().map(|r| r.kind).collect::<Vec<_>>(),
             vec![
@@ -1426,66 +1158,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Encodes a record the way a version-1 writer did: no kind byte.
-    fn encode_v1(rel: &str, rows: &[Vec<Value>]) -> Vec<u8> {
-        let arity = rows.first().map_or(0, Vec::len);
-        let mut payload = Vec::new();
-        put_str(&mut payload, rel);
-        put_u32(&mut payload, rows.len() as u32);
-        put_u32(&mut payload, arity as u32);
-        for row in rows {
-            for v in row {
-                put_value(&mut payload, v);
-            }
-        }
-        let mut framed = Vec::new();
-        put_u32(&mut framed, payload.len() as u32);
-        put_u32(&mut framed, crc32(&payload));
-        framed.extend_from_slice(&payload);
-        framed
-    }
-
-    fn write_v1_log(path: &Path, fp: u64, batches: &[(&str, Vec<Vec<Value>>)]) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(WAL_MAGIC_V1);
-        bytes.extend_from_slice(&fp.to_le_bytes());
-        for (rel, rows) in batches {
-            bytes.extend_from_slice(&encode_v1(rel, rows));
-        }
-        std::fs::write(path, &bytes).expect("writes v1 log");
-    }
-
     #[test]
-    fn v1_logs_replay_as_inserts_and_rewrite_upgrades_them() {
-        let dir = tmpdir("v1compat");
+    fn v1_logs_are_refused_without_touching_the_file() {
+        let dir = tmpdir("v1-refused");
         let path = dir.join("wal.log");
         let fp = fingerprint("prog");
-        write_v1_log(
-            &path,
-            fp,
-            &[("e", rows(&[(1, "a")])), ("f", rows(&[(2, "b")]))],
-        );
+        let mut bytes = WAL_MAGIC_V1.to_vec();
+        bytes.extend_from_slice(&fp.to_le_bytes());
+        bytes.extend_from_slice(&[7, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        std::fs::write(&path, &bytes).expect("writes v1 log");
 
-        let replayed = replay(&path, fp).expect("replays v1");
-        assert_eq!(replayed.version, 1);
-        assert_eq!(replayed.records.len(), 2);
-        assert!(replayed
-            .records
-            .iter()
-            .all(|r| r.kind == WalRecordKind::Insert));
-
-        // Upgrade in place, then append a delete — one file, one format.
-        let new_len = rewrite(&path, fp, &replayed.records).expect("rewrites");
-        let mut w = WalWriter::open(&path, Durability::Batch, fp, new_len).expect("opens");
-        w.append_delete("e", &rows(&[(1, "a")])).expect("delete");
-        drop(w);
-
-        let replayed = replay(&path, fp).expect("replays v2");
-        assert_eq!(replayed.version, 2);
-        assert_eq!(replayed.records.len(), 3);
-        assert_eq!(replayed.records[0].rel, "e");
-        assert_eq!(replayed.records[0].rows, rows(&[(1, "a")]));
-        assert_eq!(replayed.records[2].kind, WalRecordKind::Delete);
+        let err = replay(&path, fp).expect_err("a v1 log must not start over");
+        assert!(err.msg.contains("STIRWAL1"), "{}", err.msg);
+        assert!(err.msg.contains("byte offset 0"), "{}", err.msg);
+        assert_eq!(std::fs::read(&path).expect("reads"), bytes, "log untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! Tuple-level binary serialization of relations.
 //!
-//! The durability layer (snapshots in `stir_core::wal`) persists whole
+//! The durability layer (snapshots in `stir_core::snap2`) persists whole
 //! relations; the der crate owns the byte format because only it knows
 //! how to enumerate tuples independently of the index layout. The format
 //! is deliberately layout-free: tuples are written in *source* order
@@ -16,13 +16,10 @@
 //! [u64 tuple_count] then tuple_count × arity × [u32 value]
 //! ```
 //!
-//! The header makes a section self-describing: a reader can reject an
-//! arity mismatch up front (previously a mismatch silently re-framed the
-//! payload into garbage tuples) and truncation errors can name the exact
-//! byte offset. Sections written before the header existed started
-//! directly with the `u64` count; [`read_tuples`] still accepts those —
-//! the magic cannot collide with a realistic count because it decodes to
-//! a count above 10^18.
+//! The header makes a section self-describing: a reader rejects an
+//! arity mismatch up front and truncation errors name the exact byte
+//! offset. A section that does not open with the `STDT` magic is
+//! refused at byte offset 0.
 //!
 //! Nullary relations encode their presence flag as a count of 0 or 1
 //! with zero payload bytes per tuple. Integrity (checksums) is the
@@ -78,51 +75,43 @@ fn read_at(r: &mut dyn Read, buf: &mut [u8], off: u64, what: &str) -> std::io::R
 }
 
 /// Reads a tuple section written by [`write_tuples`] for a relation of
-/// the given arity, returning the decoded tuples. Headerless sections
-/// written by older versions (starting directly with the `u64` count)
-/// are accepted too.
+/// the given arity, returning the decoded tuples.
 ///
 /// # Errors
 ///
 /// Fails on I/O errors, on truncated input (`UnexpectedEof`, naming the
-/// byte offset where the data ran out), on an unsupported section
-/// version, and on an arity mismatch between the header and `arity`
-/// (`InvalidData`, naming the offending offset).
+/// byte offset where the data ran out), on a missing `STDT` header or an
+/// unsupported section version, and on an arity mismatch between the
+/// header and `arity` (`InvalidData`, naming the offending offset).
 pub fn read_tuples(r: &mut dyn Read, arity: usize) -> std::io::Result<Vec<Vec<RamDomain>>> {
-    // Both forms start with at least 8 bytes: magic+version+arity for the
-    // headered format, the u64 count for the legacy one.
     let mut head = [0u8; 8];
     read_at(r, &mut head, 0, "section header")?;
-    let mut off: u64 = 8;
-    let count = if head[..4] == SECTION_MAGIC {
-        let version = u16::from_le_bytes([head[4], head[5]]);
-        if version != SECTION_VERSION {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "unsupported tuple section version {version} at byte offset 4 \
-                     (expected {SECTION_VERSION})"
-                ),
-            ));
-        }
-        let section_arity = u16::from_le_bytes([head[6], head[7]]) as usize;
-        if section_arity != arity {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "tuple section arity mismatch at byte offset 6: \
-                     section holds arity-{section_arity} tuples, reader expected arity {arity}"
-                ),
-            ));
-        }
-        let mut count8 = [0u8; 8];
-        read_at(r, &mut count8, off, "tuple count")?;
-        off += 8;
-        u64::from_le_bytes(count8)
-    } else {
-        // Legacy headerless section: the 8 bytes were the count.
-        u64::from_le_bytes(head)
-    };
+    let invalid = |msg: String| Error::new(ErrorKind::InvalidData, msg);
+    if head[..4] != SECTION_MAGIC {
+        return Err(invalid(
+            "tuple section without the STDT header at byte offset 0 \
+             (headerless sections are not supported)"
+                .into(),
+        ));
+    }
+    let version = u16::from_le_bytes([head[4], head[5]]);
+    if version != SECTION_VERSION {
+        return Err(invalid(format!(
+            "unsupported tuple section version {version} at byte offset 4 \
+             (expected {SECTION_VERSION})"
+        )));
+    }
+    let section_arity = u16::from_le_bytes([head[6], head[7]]) as usize;
+    if section_arity != arity {
+        return Err(invalid(format!(
+            "tuple section arity mismatch at byte offset 6: \
+             section holds arity-{section_arity} tuples, reader expected arity {arity}"
+        )));
+    }
+    let mut count8 = [0u8; 8];
+    read_at(r, &mut count8, 8, "tuple count")?;
+    let mut off: u64 = 16;
+    let count = u64::from_le_bytes(count8);
     let mut tuples = Vec::new();
     let mut word = [0u8; 4];
     for i in 0..count {
@@ -251,8 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_headerless_sections_still_load() {
-        // The pre-header format: bare u64 count then packed tuples.
+    fn headerless_sections_are_rejected_at_offset_zero() {
+        // A bare u64 count then packed tuples, with no `STDT` header.
         let mut buf = Vec::new();
         buf.extend_from_slice(&2u64.to_le_bytes());
         for v in [1u32, 9, 2, 8] {
@@ -260,11 +249,11 @@ mod tests {
         }
         let mut dst = sample();
         dst.clear();
-        assert_eq!(
-            load_tuples(&mut dst, &mut buf.as_slice()).expect("loads"),
-            2
-        );
-        assert_eq!(dst.to_sorted_tuples(), vec![vec![1, 9], vec![2, 8]]);
+        let err = load_tuples(&mut dst, &mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("STDT"), "{err}");
+        assert!(err.to_string().contains("byte offset 0"), "{err}");
+        assert!(dst.is_empty(), "nothing is loaded from a rejected section");
     }
 
     #[test]

@@ -9,15 +9,17 @@
 //! allowed to change what the engine derives, how it proves it, or how
 //! much work it reports.
 //!
-//! Part two feeds hostile v2 snapshot files (truncation, bad magic,
-//! checksum damage, tuple bitflips) directly to the reader and checks
-//! every rejection names the byte offset of the damage.
+//! Part two feeds hostile snapshot files (truncation, bad magic,
+//! checksum damage, tuple bitflips, and 600 seeded random mutations)
+//! directly to the reader and checks every rejection names the byte
+//! offset of the damage.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use stir::core::resident::{PersistOptions, SNAPSHOT_FILE};
+use stir::core::resident::{PersistOptions, SNAPSHOT_FILE, WAL_FILE};
 use stir::core::snap2;
 use stir::core::wal;
+use stir::workloads::rng::SmallRng;
 use stir::{
     Engine, ExplainLimits, InputData, InterpreterConfig, ResidentEngine, StorageBackend, Value,
 };
@@ -252,7 +254,10 @@ fn v2_fixture(name: &str) -> (PathBuf, Vec<u8>, u64) {
     drop(r);
     let path = dir.join(SNAPSHOT_FILE);
     let bytes = std::fs::read(&path).expect("snapshot bytes");
-    assert!(snap2::is_v2(&path), "fixture must be a v2 snapshot");
+    assert!(
+        bytes.starts_with(snap2::SNAP2_MAGIC),
+        "fixture must be a v2 snapshot"
+    );
     (path, bytes, fp)
 }
 
@@ -427,7 +432,98 @@ fn hostile_wrong_program_fingerprint_is_rejected() {
     let (path, _, fp) = v2_fixture("wrong-fp");
     let err = open_err(&path, fp ^ 1);
     assert!(
-        err.contains("fingerprint mismatch"),
-        "foreign snapshot must be rejected: {err}"
+        err.contains("fingerprint mismatch") && err.contains("byte offset 12"),
+        "foreign snapshot must be rejected at the fingerprint's offset: {err}"
     );
+}
+
+/// One deterministic corruption of a snapshot image.
+#[derive(Debug)]
+enum Mutation {
+    BitFlip { pos: usize, bit: u32 },
+    Overwrite { pos: usize, xor: u8 },
+    Truncate { len: usize },
+    Append { extra: Vec<u8> },
+}
+
+impl Mutation {
+    fn pick(rng: &mut SmallRng, i: usize, len: usize) -> Mutation {
+        match i % 4 {
+            0 => Mutation::BitFlip {
+                pos: rng.gen_range(0..len),
+                bit: rng.gen_range(0..8u32),
+            },
+            // A nonzero mask, so the byte really changes.
+            1 => Mutation::Overwrite {
+                pos: rng.gen_range(0..len),
+                xor: rng.gen_range(1..256u32) as u8,
+            },
+            2 => Mutation::Truncate {
+                len: rng.gen_range(0..len),
+            },
+            _ => Mutation::Append {
+                extra: (0..rng.gen_range(1..65usize))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect(),
+            },
+        }
+    }
+
+    fn apply(&self, bytes: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        match self {
+            Mutation::BitFlip { pos, bit } => out[*pos] ^= 1 << bit,
+            Mutation::Overwrite { pos, xor } => out[*pos] ^= xor,
+            Mutation::Truncate { len } => out.truncate(*len),
+            Mutation::Append { extra } => out.extend_from_slice(extra),
+        }
+        out
+    }
+}
+
+/// Seeded mutation testing of the snapshot decoder: every bit flip,
+/// byte overwrite, truncation, or append must be rejected with an error
+/// naming a byte offset — never accepted, never a panic — and a data
+/// directory holding a mutated snapshot must refuse to start.
+#[test]
+fn hostile_seeded_mutations_are_all_rejected_with_an_offset() {
+    let (path, bytes, fp) = v2_fixture("mutations");
+    let wal_path = path.with_file_name(WAL_FILE);
+    let wal_bytes = std::fs::read(&wal_path).expect("WAL bytes");
+    let mut rng = SmallRng::seed_from_u64(0x5eed_0012);
+    let mut first = None;
+    for i in 0..600 {
+        let m = Mutation::pick(&mut rng, i, bytes.len());
+        let mutated = m.apply(&bytes);
+        std::fs::write(&path, &mutated).expect("writes");
+        let opened = std::panic::catch_unwind(|| snap2::open_snapshot_v2(&path, fp, 1 << 20));
+        let err = match opened {
+            Err(_) => panic!("mutation {i} ({m:?}) panicked the decoder"),
+            Ok(Ok(_)) => panic!("mutation {i} ({m:?}) was accepted"),
+            Ok(Err(e)) => e.to_string(),
+        };
+        assert!(
+            err.contains("byte offset"),
+            "mutation {i} ({m:?}) rejected without an offset: {err}"
+        );
+        first.get_or_insert(mutated);
+    }
+
+    // The first mutation, as the snapshot of a data directory: the
+    // engine refuses to start and leaves both files as they were.
+    let mutated = first.expect("mutations ran");
+    std::fs::write(&path, &mutated).expect("writes");
+    let engine = Engine::from_source(PROGRAM).expect("compiles");
+    let config = InterpreterConfig::optimized().with_storage(StorageBackend::Disk);
+    let opts = PersistOptions {
+        durability: wal::Durability::Batch,
+        snapshot_interval: None,
+    };
+    let dir = path.parent().expect("data dir");
+    let err = ResidentEngine::open(engine, config, &InputData::new(), dir, opts, None)
+        .expect_err("a mutated snapshot must refuse to start")
+        .to_string();
+    assert!(err.contains("byte offset"), "{err}");
+    assert_eq!(std::fs::read(&path).expect("reads"), mutated);
+    assert_eq!(std::fs::read(&wal_path).expect("reads"), wal_bytes);
 }
